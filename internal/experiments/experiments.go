@@ -16,8 +16,10 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/ancrfid/ancrfid/internal/obs"
 	"github.com/ancrfid/ancrfid/internal/plot"
 	"github.com/ancrfid/ancrfid/internal/protocol"
+	"github.com/ancrfid/ancrfid/internal/runpool"
 )
 
 // Options control an experiment run.
@@ -70,56 +72,16 @@ func (o Options) progressf(format string, args ...any) {
 	}
 }
 
-// points runs fn(0), ..., fn(n-1) on up to o.Workers goroutines; each fn
-// must write its result into the per-index slot it owns. Indices are
-// dispatched in ascending order, so the error returned — the failure with
-// the lowest index among the runs executed — is the same error a
-// sequential pass would hit first, for any worker count.
+// points runs fn(0), ..., fn(n-1) on the campaigns' ordered-merge pool
+// with up to o.Workers goroutines; each fn must write its result into the
+// per-index slot it owns. The error returned is the lowest failing
+// index's — the same error a sequential pass would hit first, for any
+// worker count.
 func (o Options) points(n int, fn func(i int) error) error {
-	workers := o.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		mu       sync.Mutex
-		next     int
-		errIdx   = -1
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	wg.Add(workers)
-	for g := 0; g < workers; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				if errIdx >= 0 || next >= n {
-					mu.Unlock()
-					return
-				}
-				i := next
-				next++
-				mu.Unlock()
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if errIdx < 0 || i < errIdx {
-						errIdx, firstErr = i, err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+	_, _, err := runpool.Run(n, o.Workers, nil, func() runpool.Func[struct{}] {
+		return func(i int, _ obs.Tracer) (struct{}, error) { return struct{}{}, fn(i) }
+	}, nil)
+	return err
 }
 
 // Rendered is an experiment's output in displayable form.

@@ -62,8 +62,9 @@ var (
 	// the torn-write artefact.
 	ErrCheckpointChecksum = errors.New("server: checkpoint checksum mismatch")
 	// ErrCheckpointRecord reports a payload that passes the CRC but does
-	// not decode to a semantically valid record (impossible via this
-	// encoder; reachable by hand-built files).
+	// not decode to a semantically valid record (reachable by hand-built
+	// files), or a record EncodeCheckpoint refuses to write because it
+	// exceeds the replay step bound or the payload size bound.
 	ErrCheckpointRecord = errors.New("server: invalid checkpoint record")
 )
 
@@ -223,11 +224,23 @@ func parseID(s string) (tagid.ID, error) {
 	return id, nil
 }
 
-// EncodeCheckpoint frames rec for disk.
+// EncodeCheckpoint frames rec for disk. It refuses, with an
+// ErrCheckpointRecord-wrapped error, the two bounds DecodeCheckpoint
+// enforces that a live session can outgrow — the replay step bound and
+// the payload size — so every checkpoint it writes can be read back. The
+// rest of Validate is not repeated: the server renders IDs only through
+// formatID and appends ops at its monotone step count, and the full check
+// costs a noticeable share of a large journal's encode.
 func EncodeCheckpoint(rec *Record) ([]byte, error) {
+	if rec.Steps > maxRecordSteps {
+		return nil, fmt.Errorf("%w: %d steps exceeds replay bound %d", ErrCheckpointRecord, rec.Steps, maxRecordSteps)
+	}
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return nil, err
+	}
+	if len(payload) > maxCheckpointPayload {
+		return nil, fmt.Errorf("%w: payload %d bytes exceeds %d", ErrCheckpointRecord, len(payload), maxCheckpointPayload)
 	}
 	buf := make([]byte, checkpointHeaderLen+len(payload))
 	copy(buf[0:4], checkpointMagic[:])

@@ -97,20 +97,30 @@ func TestRecordValidate(t *testing.T) {
 		name string
 		rec  *Record
 		want string
+		// encodeRefuses marks a bound a live session can outgrow: the
+		// writer must refuse it too, or the write succeeds and restart
+		// quarantines the session.
+		encodeRefuses bool
 	}{
-		{"empty id", mutate(func(r *Record) { r.ID = "" }), "session id"},
-		{"long id", mutate(func(r *Record) { r.ID = strings.Repeat("x", maxSessionIDLen+1) }), "session id"},
-		{"too many steps", mutate(func(r *Record) { r.Steps = maxRecordSteps + 1 }), "replay bound"},
-		{"ops out of order", mutate(func(r *Record) { r.Ops[2].AtStep = 50 }), "after step"},
-		{"op beyond steps", mutate(func(r *Record) { r.Ops[2].AtStep = r.Steps + 1 }), "beyond checkpointed step"},
-		{"bad hex id", mutate(func(r *Record) { r.Ops[0].Admit = []string{"zz"} }), "hex digits"},
-		{"bad spec", mutate(func(r *Record) { r.Spec.Tags = -1 }), "tags"},
+		{"empty id", mutate(func(r *Record) { r.ID = "" }), "session id", false},
+		{"long id", mutate(func(r *Record) { r.ID = strings.Repeat("x", maxSessionIDLen+1) }), "session id", false},
+		{"too many steps", mutate(func(r *Record) { r.Steps = maxRecordSteps + 1 }), "replay bound", true},
+		{"ops out of order", mutate(func(r *Record) { r.Ops[2].AtStep = 50 }), "after step", false},
+		{"op beyond steps", mutate(func(r *Record) { r.Ops[2].AtStep = r.Steps + 1 }), "beyond checkpointed step", false},
+		{"bad hex id", mutate(func(r *Record) { r.Ops[0].Admit = []string{"zz"} }), "hex digits", false},
+		{"bad spec", mutate(func(r *Record) { r.Spec.Tags = -1 }), "tags", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.rec.Validate()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Validate: got %v, want error containing %q", err, tc.want)
+			}
+			if !tc.encodeRefuses {
+				return
+			}
+			if _, err := EncodeCheckpoint(tc.rec); !errors.Is(err, ErrCheckpointRecord) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("EncodeCheckpoint: got %v, want ErrCheckpointRecord containing %q", err, tc.want)
 			}
 		})
 	}

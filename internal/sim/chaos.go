@@ -15,13 +15,13 @@ package sim
 import (
 	"container/heap"
 	"math"
-	"sync"
 	"time"
 
 	"github.com/ancrfid/ancrfid/internal/fault"
 	"github.com/ancrfid/ancrfid/internal/obs"
 	"github.com/ancrfid/ancrfid/internal/protocol"
 	"github.com/ancrfid/ancrfid/internal/rng"
+	"github.com/ancrfid/ancrfid/internal/runpool"
 	"github.com/ancrfid/ancrfid/internal/stats"
 	"github.com/ancrfid/ancrfid/internal/tagid"
 	"github.com/ancrfid/ancrfid/internal/workload"
@@ -130,26 +130,23 @@ type ChaosResult struct {
 	HealthScore    stats.Summary
 }
 
-// RunChaos executes the chaos campaign for one session protocol, with the
-// static campaign's parallel merge discipline (see Config.Workers): results
-// land in run order, traces replay in run order, and the first error
-// reported is the lowest-indexed failing run's.
+// RunChaos executes the chaos campaign for one session protocol, on the
+// static campaign's worker pool and merge discipline (see Run): reports
+// land in run order, traces replay in run order, and the error returned
+// is the lowest-indexed failing run's, with the zero result.
 func RunChaos(p protocol.SessionProtocol, cfg ChaosConfig) (ChaosResult, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Workers > 1 && cfg.Runs > 1 {
-		return runChaosParallel(p, cfg)
+	run := func(i int, tr obs.Tracer) (ChaosReport, error) {
+		c := cfg
+		c.Tracer = tr
+		return RunChaosOnce(p, c, i)
 	}
-	res := ChaosResult{Protocol: p.Name(), Runs: make([]ChaosReport, 0, cfg.Runs)}
-	for i := 0; i < cfg.Runs; i++ {
-		rep, err := RunChaosOnce(p, cfg, i)
-		if cfg.Progress != nil {
-			cfg.Progress(i, rep.Metrics, err)
-		}
-		if err != nil {
-			return ChaosResult{}, runError(p, cfg.Config, i, err)
-		}
-		res.Runs = append(res.Runs, rep)
+	runs, err := campaign(p, cfg.Config, func() runpool.Func[ChaosReport] { return run },
+		func(rep *ChaosReport) protocol.Metrics { return rep.Metrics })
+	if err != nil {
+		return ChaosResult{}, err
 	}
+	res := ChaosResult{Protocol: p.Name(), Runs: runs}
 	res.summarize()
 	return res, nil
 }
@@ -524,104 +521,6 @@ func buildChaosScript(initial []tagid.ID, wl *rng.Source, cfg workload.Config) c
 func expDraw(wl *rng.Source, rate float64) time.Duration {
 	u := wl.Float64()
 	return time.Duration(-math.Log(1-u) / rate * float64(time.Second))
-}
-
-// runChaosParallel mirrors runParallel for chaos reports; see that function
-// for the determinism argument.
-func runChaosParallel(p protocol.SessionProtocol, cfg ChaosConfig) (ChaosResult, error) {
-	workers := cfg.Workers
-	if workers > cfg.Runs {
-		workers = cfg.Runs
-	}
-
-	type outcome struct {
-		rep ChaosReport
-		err error
-		buf *obs.Buffer
-	}
-	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		outcomes = make([]*outcome, cfg.Runs)
-		next     int
-		inflight int
-		failed   bool
-		wg       sync.WaitGroup
-	)
-
-	worker := func() {
-		defer wg.Done()
-		for {
-			mu.Lock()
-			if failed || next >= cfg.Runs {
-				mu.Unlock()
-				return
-			}
-			i := next
-			next++
-			inflight++
-			mu.Unlock()
-
-			runCfg := cfg
-			runCfg.Tracer = nil
-			var buf *obs.Buffer
-			if cfg.Tracer != nil {
-				buf = &obs.Buffer{}
-				runCfg.Tracer = buf
-			}
-			rep, err := RunChaosOnce(p, runCfg, i)
-
-			mu.Lock()
-			outcomes[i] = &outcome{rep: rep, err: err, buf: buf}
-			inflight--
-			if err != nil {
-				failed = true
-			}
-			if cfg.Progress != nil {
-				cfg.Progress(i, rep.Metrics, err)
-			}
-			cond.Broadcast()
-			mu.Unlock()
-		}
-	}
-	wg.Add(workers)
-	for g := 0; g < workers; g++ {
-		go worker()
-	}
-
-	res := ChaosResult{Protocol: p.Name(), Runs: make([]ChaosReport, 0, cfg.Runs)}
-	var firstErr error
-	mu.Lock()
-merge:
-	for i := 0; i < cfg.Runs; i++ {
-		for outcomes[i] == nil {
-			if failed && i >= next && inflight == 0 {
-				break merge
-			}
-			cond.Wait()
-		}
-		o := outcomes[i]
-		outcomes[i] = nil
-		mu.Unlock()
-		if o.buf != nil {
-			o.buf.Replay(cfg.Tracer)
-		}
-		if o.err != nil {
-			firstErr = runError(p, cfg.Config, i, o.err)
-			mu.Lock()
-			break
-		}
-		res.Runs = append(res.Runs, o.rep)
-		mu.Lock()
-	}
-	mu.Unlock()
-	wg.Wait()
-
-	if firstErr != nil {
-		return ChaosResult{}, firstErr
-	}
-	res.summarize()
-	return res, nil
 }
 
 func (r *ChaosResult) summarize() {

@@ -5,10 +5,9 @@
 package sim
 
 import (
-	"sync"
-
 	"github.com/ancrfid/ancrfid/internal/obs"
 	"github.com/ancrfid/ancrfid/internal/protocol"
+	"github.com/ancrfid/ancrfid/internal/runpool"
 	"github.com/ancrfid/ancrfid/internal/stats"
 	"github.com/ancrfid/ancrfid/internal/tagid"
 	"github.com/ancrfid/ancrfid/internal/workload"
@@ -51,29 +50,23 @@ type DynamicResult struct {
 	LatencyP99 stats.Summary
 }
 
-// RunDynamic executes the dynamic campaign for one session protocol. With
-// cfg.Workers > 1 the runs execute on a bounded worker pool with the
-// static campaign's merge discipline: outcomes land in run order, traces
-// are buffered and replayed in run order, and the first error reported is
-// the lowest-indexed failing run's. Unlike the static path, a failing run
-// still contributes its partial report to the error return's context —
-// but the campaign result is withheld, exactly like Run.
+// RunDynamic executes the dynamic campaign for one session protocol, on
+// the static campaign's worker pool and merge discipline (see Run):
+// reports land in run order, traces replay in run order, and the error
+// returned is the lowest-indexed failing run's, with the zero result.
 func RunDynamic(p protocol.SessionProtocol, cfg DynamicConfig) (DynamicResult, error) {
 	cfg.Config = cfg.Config.withDefaults()
-	if cfg.Workers > 1 && cfg.Runs > 1 {
-		return runDynamicParallel(p, cfg)
+	run := func(i int, tr obs.Tracer) (workload.Report, error) {
+		c := cfg
+		c.Tracer = tr
+		return RunDynamicOnce(p, c, i)
 	}
-	res := DynamicResult{Protocol: p.Name(), Runs: make([]workload.Report, 0, cfg.Runs)}
-	for i := 0; i < cfg.Runs; i++ {
-		rep, err := RunDynamicOnce(p, cfg, i)
-		if cfg.Progress != nil {
-			cfg.Progress(i, rep.Metrics, err)
-		}
-		if err != nil {
-			return DynamicResult{}, runError(p, cfg.Config, i, err)
-		}
-		res.Runs = append(res.Runs, rep)
+	runs, err := campaign(p, cfg.Config, func() runpool.Func[workload.Report] { return run },
+		func(rep *workload.Report) protocol.Metrics { return rep.Metrics })
+	if err != nil {
+		return DynamicResult{}, err
 	}
+	res := DynamicResult{Protocol: p.Name(), Runs: runs}
 	res.summarize()
 	return res, nil
 }
@@ -99,104 +92,6 @@ func RunDynamicOnce(p protocol.SessionProtocol, cfg DynamicConfig, run int) (wor
 		Tracer:   cfg.tracer(),
 	}
 	return workload.Run(p, env, wl, cfg.Workload)
-}
-
-// runDynamicParallel mirrors runParallel for workload reports; see that
-// function for the determinism argument.
-func runDynamicParallel(p protocol.SessionProtocol, cfg DynamicConfig) (DynamicResult, error) {
-	workers := cfg.Workers
-	if workers > cfg.Runs {
-		workers = cfg.Runs
-	}
-
-	type outcome struct {
-		rep workload.Report
-		err error
-		buf *obs.Buffer
-	}
-	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		outcomes = make([]*outcome, cfg.Runs)
-		next     int
-		inflight int
-		failed   bool
-		wg       sync.WaitGroup
-	)
-
-	worker := func() {
-		defer wg.Done()
-		for {
-			mu.Lock()
-			if failed || next >= cfg.Runs {
-				mu.Unlock()
-				return
-			}
-			i := next
-			next++
-			inflight++
-			mu.Unlock()
-
-			runCfg := cfg
-			runCfg.Tracer = nil
-			var buf *obs.Buffer
-			if cfg.Tracer != nil {
-				buf = &obs.Buffer{}
-				runCfg.Tracer = buf
-			}
-			rep, err := RunDynamicOnce(p, runCfg, i)
-
-			mu.Lock()
-			outcomes[i] = &outcome{rep: rep, err: err, buf: buf}
-			inflight--
-			if err != nil {
-				failed = true
-			}
-			if cfg.Progress != nil {
-				cfg.Progress(i, rep.Metrics, err)
-			}
-			cond.Broadcast()
-			mu.Unlock()
-		}
-	}
-	wg.Add(workers)
-	for g := 0; g < workers; g++ {
-		go worker()
-	}
-
-	res := DynamicResult{Protocol: p.Name(), Runs: make([]workload.Report, 0, cfg.Runs)}
-	var firstErr error
-	mu.Lock()
-merge:
-	for i := 0; i < cfg.Runs; i++ {
-		for outcomes[i] == nil {
-			if failed && i >= next && inflight == 0 {
-				break merge
-			}
-			cond.Wait()
-		}
-		o := outcomes[i]
-		outcomes[i] = nil
-		mu.Unlock()
-		if o.buf != nil {
-			o.buf.Replay(cfg.Tracer)
-		}
-		if o.err != nil {
-			firstErr = runError(p, cfg.Config, i, o.err)
-			mu.Lock()
-			break
-		}
-		res.Runs = append(res.Runs, o.rep)
-		mu.Lock()
-	}
-	mu.Unlock()
-	wg.Wait()
-
-	if firstErr != nil {
-		return DynamicResult{}, firstErr
-	}
-	res.summarize()
-	return res, nil
 }
 
 func (r *DynamicResult) summarize() {

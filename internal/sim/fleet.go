@@ -5,11 +5,10 @@
 package sim
 
 import (
-	"sync"
-
 	"github.com/ancrfid/ancrfid/internal/fleet"
 	"github.com/ancrfid/ancrfid/internal/obs"
 	"github.com/ancrfid/ancrfid/internal/protocol"
+	"github.com/ancrfid/ancrfid/internal/runpool"
 	"github.com/ancrfid/ancrfid/internal/stats"
 )
 
@@ -89,27 +88,22 @@ func fleetRunMetrics(rep *fleet.Report) protocol.Metrics {
 	return m
 }
 
-// RunFleet executes the fleet campaign for one session protocol. With
-// cfg.Workers > 1 the runs execute on a bounded worker pool with the
-// static campaign's merge discipline: outcomes land in run order, traces
-// are buffered and replayed in run order, and the first error reported is
-// the lowest-indexed failing run's.
+// RunFleet executes the fleet campaign for one session protocol, on the
+// static campaign's worker pool and merge discipline (see Run): reports
+// land in run order, traces replay in run order, and the error returned
+// is the lowest-indexed failing run's, with the zero result.
 func RunFleet(p protocol.SessionProtocol, cfg FleetConfig) (FleetResult, error) {
 	cfg.Config = cfg.Config.withDefaults()
-	if cfg.Workers > 1 && cfg.Runs > 1 {
-		return runFleetParallel(p, cfg)
+	run := func(i int, tr obs.Tracer) (fleet.Report, error) {
+		c := cfg
+		c.Tracer = tr
+		return RunFleetOnce(p, c, i)
 	}
-	res := FleetResult{Protocol: p.Name(), Runs: make([]fleet.Report, 0, cfg.Runs)}
-	for i := 0; i < cfg.Runs; i++ {
-		rep, err := RunFleetOnce(p, cfg, i)
-		if cfg.Progress != nil {
-			cfg.Progress(i, fleetRunMetrics(&rep), err)
-		}
-		if err != nil {
-			return FleetResult{}, runError(p, cfg.Config, i, err)
-		}
-		res.Runs = append(res.Runs, rep)
+	runs, err := campaign(p, cfg.Config, func() runpool.Func[fleet.Report] { return run }, fleetRunMetrics)
+	if err != nil {
+		return FleetResult{}, err
 	}
+	res := FleetResult{Protocol: p.Name(), Runs: runs}
 	res.summarize()
 	return res, nil
 }
@@ -119,104 +113,6 @@ func RunFleet(p protocol.SessionProtocol, cfg FleetConfig) (FleetResult, error) 
 func RunFleetOnce(p protocol.SessionProtocol, cfg FleetConfig, run int) (fleet.Report, error) {
 	cfg.Config = cfg.Config.withDefaults()
 	return fleet.Run(p, cfg.fleetConfig(), run)
-}
-
-// runFleetParallel mirrors runParallel for fleet reports; see that
-// function for the determinism argument.
-func runFleetParallel(p protocol.SessionProtocol, cfg FleetConfig) (FleetResult, error) {
-	workers := cfg.Workers
-	if workers > cfg.Runs {
-		workers = cfg.Runs
-	}
-
-	type outcome struct {
-		rep fleet.Report
-		err error
-		buf *obs.Buffer
-	}
-	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		outcomes = make([]*outcome, cfg.Runs)
-		next     int
-		inflight int
-		failed   bool
-		wg       sync.WaitGroup
-	)
-
-	worker := func() {
-		defer wg.Done()
-		for {
-			mu.Lock()
-			if failed || next >= cfg.Runs {
-				mu.Unlock()
-				return
-			}
-			i := next
-			next++
-			inflight++
-			mu.Unlock()
-
-			runCfg := cfg
-			runCfg.Tracer = nil
-			var buf *obs.Buffer
-			if cfg.Tracer != nil {
-				buf = &obs.Buffer{}
-				runCfg.Tracer = buf
-			}
-			rep, err := RunFleetOnce(p, runCfg, i)
-
-			mu.Lock()
-			outcomes[i] = &outcome{rep: rep, err: err, buf: buf}
-			inflight--
-			if err != nil {
-				failed = true
-			}
-			if cfg.Progress != nil {
-				cfg.Progress(i, fleetRunMetrics(&rep), err)
-			}
-			cond.Broadcast()
-			mu.Unlock()
-		}
-	}
-	wg.Add(workers)
-	for g := 0; g < workers; g++ {
-		go worker()
-	}
-
-	res := FleetResult{Protocol: p.Name(), Runs: make([]fleet.Report, 0, cfg.Runs)}
-	var firstErr error
-	mu.Lock()
-merge:
-	for i := 0; i < cfg.Runs; i++ {
-		for outcomes[i] == nil {
-			if failed && i >= next && inflight == 0 {
-				break merge
-			}
-			cond.Wait()
-		}
-		o := outcomes[i]
-		outcomes[i] = nil
-		mu.Unlock()
-		if o.buf != nil {
-			o.buf.Replay(cfg.Tracer)
-		}
-		if o.err != nil {
-			firstErr = runError(p, cfg.Config, i, o.err)
-			mu.Lock()
-			break
-		}
-		res.Runs = append(res.Runs, o.rep)
-		mu.Lock()
-	}
-	mu.Unlock()
-	wg.Wait()
-
-	if firstErr != nil {
-		return FleetResult{}, firstErr
-	}
-	res.summarize()
-	return res, nil
 }
 
 func (r *FleetResult) summarize() {

@@ -6,7 +6,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/ancrfid/ancrfid/internal/air"
 	"github.com/ancrfid/ancrfid/internal/channel"
@@ -14,6 +13,7 @@ import (
 	"github.com/ancrfid/ancrfid/internal/obs"
 	"github.com/ancrfid/ancrfid/internal/protocol"
 	"github.com/ancrfid/ancrfid/internal/rng"
+	"github.com/ancrfid/ancrfid/internal/runpool"
 	"github.com/ancrfid/ancrfid/internal/stats"
 	"github.com/ancrfid/ancrfid/internal/tagid"
 )
@@ -132,147 +132,38 @@ type Result struct {
 // callers never see a half-populated summary.
 func Run(p protocol.Protocol, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Workers > 1 && cfg.Runs > 1 {
-		return runParallel(p, cfg)
-	}
-	res := Result{Protocol: p.Name(), Tags: cfg.Tags, Runs: make([]protocol.Metrics, 0, cfg.Runs)}
-
-	var sc runScratch
-	for i := 0; i < cfg.Runs; i++ {
-		m, err := runOnce(p, cfg, i, &sc)
-		if cfg.Progress != nil {
-			cfg.Progress(i, m, err)
-		}
-		if err != nil {
-			return Result{}, runError(p, cfg, i, err)
-		}
-		res.Runs = append(res.Runs, m)
-	}
-	res.summarize()
-	return res, nil
-}
-
-// runError wraps a run's error with its campaign context, identically for
-// the sequential and parallel paths.
-func runError(p protocol.Protocol, cfg Config, run int, err error) error {
-	return fmt.Errorf("%s run %d (N=%d): %w", p.Name(), run, cfg.Tags, err)
-}
-
-// runParallel executes the campaign's runs across min(Workers, Runs)
-// goroutines and merges the outcomes deterministically:
-//
-//   - Workers claim run indices from an ascending dispatch cursor, so
-//     whenever run i executes, every run j < i has been dispatched too.
-//   - Each run's metrics land in the slot its index names; summaries are
-//     computed from the index-ordered slice exactly as the sequential path
-//     does.
-//   - cfg.Metrics is fed live through per-run MetricsTracers — its atomic
-//     counters commute, so the final dump is order-independent.
-//   - cfg.Tracer is never called concurrently: each run records its events
-//     into an obs.Buffer, and the merge loop below replays the buffers in
-//     run order as the completed prefix grows, so the trace is a
-//     deterministic sequence of RunStart/RunEnd-delimited streams.
-//   - cfg.Progress is invoked under the pool lock (serialized), but in
-//     completion order, not run order.
-//   - The first error (always the lowest failing index, because dispatch
-//     is ascending and lower runs are deterministic) cancels dispatch of
-//     the remaining runs; in-flight runs drain before Run returns.
-func runParallel(p protocol.Protocol, cfg Config) (Result, error) {
-	workers := cfg.Workers
-	if workers > cfg.Runs {
-		workers = cfg.Runs
-	}
-
-	type outcome struct {
-		m   protocol.Metrics
-		err error
-		buf *obs.Buffer
-	}
-	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		outcomes = make([]*outcome, cfg.Runs)
-		next     int // next run index to dispatch
-		inflight int // dispatched but not yet deposited
-		failed   bool
-		wg       sync.WaitGroup
-	)
-
-	worker := func() {
-		defer wg.Done()
+	runs, err := campaign(p, cfg, func() runpool.Func[protocol.Metrics] {
 		var sc runScratch
-		for {
-			mu.Lock()
-			if failed || next >= cfg.Runs {
-				mu.Unlock()
-				return
-			}
-			i := next
-			next++
-			inflight++
-			mu.Unlock()
-
-			runCfg := cfg
-			runCfg.Tracer = nil // untraced runs keep the zero-cost fast path
-			var buf *obs.Buffer
-			if cfg.Tracer != nil {
-				buf = &obs.Buffer{}
-				runCfg.Tracer = buf
-			}
-			m, err := runOnce(p, runCfg, i, &sc)
-
-			mu.Lock()
-			outcomes[i] = &outcome{m: m, err: err, buf: buf}
-			inflight--
-			if err != nil {
-				failed = true
-			}
-			if cfg.Progress != nil {
-				cfg.Progress(i, m, err)
-			}
-			cond.Broadcast()
-			mu.Unlock()
+		return func(i int, tr obs.Tracer) (protocol.Metrics, error) {
+			c := cfg
+			c.Tracer = tr
+			return runOnce(p, c, i, &sc)
 		}
+	}, func(m *protocol.Metrics) protocol.Metrics { return *m })
+	if err != nil {
+		return Result{}, err
 	}
-	wg.Add(workers)
-	for g := 0; g < workers; g++ {
-		go worker()
-	}
-
-	res := Result{Protocol: p.Name(), Tags: cfg.Tags, Runs: make([]protocol.Metrics, 0, cfg.Runs)}
-	var firstErr error
-	mu.Lock()
-merge:
-	for i := 0; i < cfg.Runs; i++ {
-		for outcomes[i] == nil {
-			if failed && i >= next && inflight == 0 {
-				// Run i was cancelled before dispatch; nothing more to merge.
-				break merge
-			}
-			cond.Wait()
-		}
-		o := outcomes[i]
-		outcomes[i] = nil // release the buffer as the prefix is consumed
-		mu.Unlock()
-		if o.buf != nil {
-			o.buf.Replay(cfg.Tracer)
-		}
-		if o.err != nil {
-			firstErr = runError(p, cfg, i, o.err)
-			mu.Lock()
-			break
-		}
-		res.Runs = append(res.Runs, o.m)
-		mu.Lock()
-	}
-	mu.Unlock()
-	wg.Wait()
-
-	if firstErr != nil {
-		return Result{}, firstErr
-	}
+	res := Result{Protocol: p.Name(), Tags: cfg.Tags, Runs: runs}
 	res.summarize()
 	return res, nil
+}
+
+// campaign executes cfg.Runs runs of every campaign kind on the
+// ordered-merge pool (runpool.Run): cfg.Tracer receives the runs' events
+// in run order, cfg.Progress sees each run's metrics, and a failure comes
+// back as the lowest failing run's error with its campaign context.
+// cfg.Metrics needs no merging — its counters are commutative atomics fed
+// live by every run.
+func campaign[T any](p protocol.Protocol, cfg Config, newRun func() runpool.Func[T], metrics func(*T) protocol.Metrics) ([]T, error) {
+	var progress func(int, T, error)
+	if cfg.Progress != nil {
+		progress = func(i int, v T, err error) { cfg.Progress(i, metrics(&v), err) }
+	}
+	runs, i, err := runpool.Run(cfg.Runs, cfg.Workers, cfg.Tracer, newRun, progress)
+	if err != nil {
+		return nil, fmt.Errorf("%s run %d (N=%d): %w", p.Name(), i, cfg.Tags, err)
+	}
+	return runs, nil
 }
 
 // runScratch holds the arenas one campaign worker recycles across its
