@@ -1,8 +1,14 @@
 package ancrfid_test
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"os"
 	"reflect"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -95,11 +101,54 @@ func auditChaos(t *testing.T, res ancrfid.ChaosResult, wantCrashes bool) {
 	}
 }
 
+// chaosGolden pins the exact output of every chaos-matrix cell: one SHA-256
+// per cell over the workers=1 run reports and the byte-exact JSONL trace.
+// The invariants and the workers=1-vs-8 equality alone would let a change
+// to Admit, Revoke, Snapshot or Restore shift results unnoticed.
+//
+// Regenerate (only when intentionally changing observable behaviour) with:
+//
+//	UPDATE_GOLDEN=1 go test -run TestChaosMatrix .
+const chaosGolden = "testdata/chaos.golden"
+
+// chaosHash hashes everything observable about a sequential chaos campaign.
+func chaosHash(runs []ancrfid.ChaosReport, trace []byte) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%#v\n", runs)
+	h.Write(trace)
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
 // TestChaosMatrix is the acceptance sweep: every protocol x both channels x
 // all fault shapes, each at workers 1 and 8. Each cell must satisfy the
-// inventory invariants, and the parallel campaign must be bit-identical to
-// the sequential one.
+// inventory invariants, the parallel campaign must be bit-identical to the
+// sequential one, and the sequential one must match chaosGolden.
 func TestChaosMatrix(t *testing.T) {
+	update := os.Getenv("UPDATE_GOLDEN") != ""
+	var want map[string]string
+	var mu sync.Mutex
+	got := make(map[string]string)
+	if update {
+		t.Cleanup(func() {
+			keys := make([]string, 0, len(got))
+			for k := range got {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			var sb strings.Builder
+			sb.WriteString("# Hashes of workers=1 ChaosResult.Runs + JSONL trace per\n")
+			sb.WriteString("# (protocol, channel, shape) cell. See chaos_test.go.\n")
+			for _, k := range keys {
+				fmt.Fprintf(&sb, "%s %s\n", k, got[k])
+			}
+			if err := os.WriteFile(chaosGolden, []byte(sb.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("regenerated %s with %d cells", chaosGolden, len(keys))
+		})
+	} else {
+		want = readGoldenHashes(t, chaosGolden)
+	}
 	for _, proto := range allProtocols {
 		for _, chanKind := range []string{"abstract", "signal"} {
 			for _, shape := range chaosShapes {
@@ -114,11 +163,27 @@ func TestChaosMatrix(t *testing.T) {
 						t.Fatalf("%s does not implement SessionProtocol", proto)
 					}
 
-					seq, err := ancrfid.RunChaos(sp, chaosConfig(chanKind, shape.faults, 1))
+					var trace bytes.Buffer
+					jsonl := ancrfid.NewJSONLTracer(&trace)
+					seqCfg := chaosConfig(chanKind, shape.faults, 1)
+					seqCfg.Tracer = jsonl
+					seq, err := ancrfid.RunChaos(sp, seqCfg)
 					if err != nil {
 						t.Fatalf("sequential campaign: %v", err)
 					}
+					if err := jsonl.Err(); err != nil {
+						t.Fatalf("trace write: %v", err)
+					}
 					auditChaos(t, seq, shape.faults.CrashEvery > 0)
+					key := fmt.Sprintf("%s/%s/%s", proto, chanKind, shape.name)
+					hash := chaosHash(seq.Runs, trace.Bytes())
+					if update {
+						mu.Lock()
+						got[key] = hash
+						mu.Unlock()
+					} else if want[key] != hash {
+						t.Errorf("output drifted from %s:\n got %s\nwant %q", chaosGolden, hash, want[key])
+					}
 
 					par, err := ancrfid.RunChaos(sp, chaosConfig(chanKind, shape.faults, 8))
 					if err != nil {
