@@ -10,16 +10,10 @@
 package dfsa
 
 import (
-	"maps"
 	"math"
-	"time"
 
-	"github.com/ancrfid/ancrfid/internal/air"
-	"github.com/ancrfid/ancrfid/internal/channel"
-	obsev "github.com/ancrfid/ancrfid/internal/obs"
+	"github.com/ancrfid/ancrfid/internal/framed"
 	"github.com/ancrfid/ancrfid/internal/protocol"
-	"github.com/ancrfid/ancrfid/internal/rng"
-	"github.com/ancrfid/ancrfid/internal/tagid"
 )
 
 // SchouteFactor is the classical expected number of tags per colliding
@@ -66,372 +60,37 @@ func (p *Protocol) Run(env *protocol.Env) (protocol.Metrics, error) {
 	return protocol.RunSession(p, env)
 }
 
-// session carries one DFSA execution. A step is one report slot; the frame
-// boundaries (announcement and bucketing at the front, the unread filter
-// and Schoute re-estimate at the back) fold into the steps that run the
-// frame's first and last slots.
-type session struct {
-	p       *Protocol
-	env     *protocol.Env
-	m       protocol.Metrics
-	clock   air.Clock
-	unread  []tagid.ID
-	seen    map[tagid.ID]struct{}
-	scratch FrameScratch
-
-	slots, budget int
-	frameSize     int
-
-	// Current-frame state, meaningful while inFrame.
-	inFrame                   bool
-	frameLen                  int
-	slotJ                     int
-	collisions, transmissions int
-	occ                       [][]tagid.ID
-	read                      map[tagid.ID]struct{}
-
-	err error
-}
-
-var _ protocol.Session = (*session)(nil)
-
 // Begin implements protocol.SessionProtocol.
 func (p *Protocol) Begin(env *protocol.Env) protocol.Session {
-	s := &session{
-		p:      p,
-		env:    env,
-		m:      protocol.Metrics{Tags: len(env.Tags)},
-		unread: make([]tagid.ID, len(env.Tags)),
-		seen:   make(map[tagid.ID]struct{}, len(env.Tags)),
-		budget: env.SlotBudget(),
+	frameSize := p.cfg.InitialFrame
+	if frameSize <= 0 {
+		frameSize = len(env.Tags)
 	}
-	env.Clock = &s.clock
-	env.TraceRunStart(p.Name())
-	copy(s.unread, env.Tags)
-	s.frameSize = p.cfg.InitialFrame
-	if s.frameSize <= 0 {
-		s.frameSize = len(env.Tags)
-	}
-	return s
+	return framed.New(env, p.Name(), policy{cfg: &p.cfg, frameSize: frameSize}, 0)
 }
 
-// Protocol implements protocol.Session.
-func (s *session) Protocol() string { return s.p.Name() }
+// policy is DFSA's frame rule: every unread tag draws one slot, and the
+// next frame matches Schoute's backlog estimate. An empty field settles
+// into one-slot frames (the estimate of an empty frame, clamped), so
+// newly admitted tags are observed on the next frame.
+type policy struct {
+	cfg       *Config
+	frameSize int
+}
 
-// Step implements protocol.Session. A done session keeps stepping: the
-// empty-field steady state is a one-slot frame per step (Schoute's estimate
-// of an empty frame, clamped to one slot), so newly admitted tags are
-// observed on the next frame.
-func (s *session) Step() (bool, error) {
-	if s.err != nil {
-		return false, s.err
-	}
-	if !s.inFrame {
-		if s.slots >= s.budget {
-			s.err = protocol.ErrNoProgress
-			return false, s.err
-		}
-		f := s.frameSize
-		if f < 1 {
-			f = 1
-		}
-		if s.p.cfg.MaxFrame > 0 && f > s.p.cfg.MaxFrame {
-			f = s.p.cfg.MaxFrame
-		}
-		s.clock.Add(s.env.Timing.FrameAnnouncement())
-		s.m.Frames++
-		s.env.TraceFrame(obsev.FrameEvent{Seq: s.slots, Frame: s.m.Frames, Size: f, P: 1})
-		// Bucket the tags by their chosen slot.
-		s.occ = s.scratch.Buckets(f)
-		for _, id := range s.unread {
-			j := s.env.RNG.Intn(f)
-			s.occ[j] = append(s.occ[j], id)
-		}
-		s.read = s.scratch.Read()
-		s.frameLen = f
-		s.slotJ, s.collisions, s.transmissions = 0, 0, 0
-		s.inFrame = true
-	}
+// Open implements framed.Policy.
+func (p *policy) Open(e *framed.Engine) framed.Frame {
+	return framed.Frame{Size: framed.Clamp(p.frameSize, p.cfg.MaxFrame), P: 1, Tags: e.Unread}
+}
 
-	tx := s.occ[s.slotJ]
-	s.transmissions += len(tx)
-	obs := s.env.Channel.Observe(tx)
-	switch obs.Kind {
-	case channel.Empty:
-		s.m.EmptySlots++
-	case channel.Singleton:
-		s.m.SingletonSlots++
-		if _, dup := s.seen[obs.ID]; !dup {
-			s.seen[obs.ID] = struct{}{}
-			s.m.DirectIDs++
-			s.env.NotifyIdentified(obs.ID, false)
-		}
-		delivered := s.env.AckDelivered()
-		s.env.TraceAck(obsev.AckEvent{
-			Seq: s.m.TotalSlots() - 1, ID: obs.ID, Kind: obsev.AckDirect, Delivered: delivered,
-		})
-		if delivered {
-			s.read[obs.ID] = struct{}{}
-		}
-	case channel.Collision:
-		// DFSA discards the mixed signal; a corrupted singleton also lands
-		// here and retries next frame.
-		s.m.CollisionSlots++
-		s.collisions++
-	case channel.Captured:
-		// Capture effect: the slot collided but the strongest tag decoded
-		// anyway. A plain DFSA reader has no record store, so it simply
-		// acknowledges the captured read; the other colliders retry next
-		// frame. Schoute's estimator still counts the slot as a collision.
-		s.m.CollisionSlots++
-		s.collisions++
-		if _, dup := s.seen[obs.ID]; !dup {
-			s.seen[obs.ID] = struct{}{}
-			s.m.DirectIDs++
-			s.env.NotifyIdentified(obs.ID, false)
-		}
-		delivered := s.env.AckDelivered()
-		s.env.TraceAck(obsev.AckEvent{
-			Seq: s.m.TotalSlots() - 1, ID: obs.ID, Kind: obsev.AckDirect, Delivered: delivered,
-		})
-		if delivered {
-			s.read[obs.ID] = struct{}{}
-		}
-	}
-	s.m.TagTransmissions += len(tx)
-	s.env.NotifySlot(protocol.SlotEvent{
-		Seq:          s.m.TotalSlots() - 1,
-		Kind:         obs.Kind,
-		Transmitters: len(tx),
-		Identified:   s.m.Identified(),
-	})
-	s.slotJ++
-	s.slots++
-	s.clock.Add(s.env.Timing.Slot())
-	if s.slotJ < s.frameLen {
-		return false, nil
-	}
-
-	// Frame end: silence the tags read this frame.
-	s.inFrame = false
-	if len(s.read) > 0 {
-		remaining := s.unread[:0]
-		for _, id := range s.unread {
-			if _, ok := s.read[id]; !ok {
-				remaining = append(remaining, id)
-			}
-		}
-		s.unread = remaining
-	}
-	if s.transmissions == 0 {
+// Close implements framed.Policy.
+func (p *policy) Close(e *framed.Engine, f framed.Stats) bool {
+	if f.Transmissions == 0 {
 		// An entirely empty frame proves every tag has been read.
-		return true, nil
+		return true
 	}
 	// Schoute's estimate: each colliding slot hides ~2.39 tags.
-	s.frameSize = int(math.Round(SchouteFactor * float64(s.collisions)))
-	s.env.TraceEstimate(obsev.EstimateEvent{
-		Frame: s.m.Frames, Estimate: float64(s.frameSize), Identified: s.m.Identified(),
-	})
-	return false, nil
-}
-
-// Admit implements protocol.Session: the tags join the unread backlog and
-// first transmit in the next frame's bucketing.
-func (s *session) Admit(ids []tagid.ID) {
-	for _, id := range ids {
-		if _, identified := s.seen[id]; identified {
-			continue
-		}
-		if containsID(s.unread, id) {
-			continue
-		}
-		s.unread = append(s.unread, id)
-		s.m.Tags++
-	}
-}
-
-// Revoke implements protocol.Session: the tags leave the backlog and stop
-// transmitting immediately — they are stripped from the current frame's
-// remaining slot buckets.
-func (s *session) Revoke(ids []tagid.ID) {
-	for _, id := range ids {
-		if !removeID(&s.unread, id) {
-			continue
-		}
-		if s.inFrame {
-			for j := s.slotJ; j < s.frameLen; j++ {
-				bucket := s.occ[j]
-				if removeID(&bucket, id) {
-					s.occ[j] = bucket
-					break
-				}
-			}
-		}
-	}
-}
-
-// containsID reports whether ids contains id.
-func containsID(ids []tagid.ID, id tagid.ID) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
+	p.frameSize = int(math.Round(SchouteFactor * float64(f.Collisions)))
+	e.TraceEstimate(float64(p.frameSize), 0)
 	return false
-}
-
-// removeID deletes id from *ids preserving order; it reports whether the
-// id was present.
-func removeID(ids *[]tagid.ID, id tagid.ID) bool {
-	for i, v := range *ids {
-		if v == id {
-			*ids = append((*ids)[:i], (*ids)[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Metrics implements protocol.Session.
-func (s *session) Metrics() protocol.Metrics {
-	m := s.m
-	m.OnAir = s.clock.Elapsed()
-	return m
-}
-
-// Elapsed implements protocol.Session.
-func (s *session) Elapsed() time.Duration { return s.clock.Elapsed() }
-
-// Outstanding implements protocol.Session.
-func (s *session) Outstanding() int { return len(s.unread) }
-
-// checkpoint is a deep copy of a DFSA session's state.
-type checkpoint struct {
-	name   string
-	m      protocol.Metrics
-	clock  air.Clock
-	unread []tagid.ID
-	seen   map[tagid.ID]struct{}
-
-	slots, budget int
-	frameSize     int
-
-	inFrame                   bool
-	frameLen                  int
-	slotJ                     int
-	collisions, transmissions int
-	occ                       [][]tagid.ID
-	read                      map[tagid.ID]struct{}
-
-	err error
-
-	rng       rng.Source
-	chanState any
-}
-
-// Protocol implements protocol.Checkpoint.
-func (c *checkpoint) Protocol() string { return c.name }
-
-// Snapshot implements protocol.Session.
-func (s *session) Snapshot() (protocol.Checkpoint, error) {
-	cp := &checkpoint{
-		name:          s.p.Name(),
-		m:             s.m,
-		clock:         s.clock,
-		unread:        append([]tagid.ID(nil), s.unread...),
-		seen:          maps.Clone(s.seen),
-		slots:         s.slots,
-		budget:        s.budget,
-		frameSize:     s.frameSize,
-		inFrame:       s.inFrame,
-		frameLen:      s.frameLen,
-		slotJ:         s.slotJ,
-		collisions:    s.collisions,
-		transmissions: s.transmissions,
-		err:           s.err,
-		rng:           *s.env.RNG,
-	}
-	if s.inFrame {
-		cp.occ = cloneBuckets(s.occ)
-		cp.read = maps.Clone(s.read)
-	}
-	if st, ok := s.env.Channel.(channel.Stateful); ok {
-		cp.chanState = st.SnapshotState()
-	}
-	return cp, nil
-}
-
-// Restore implements protocol.Session.
-func (s *session) Restore(c protocol.Checkpoint) error {
-	cp, ok := c.(*checkpoint)
-	if !ok || cp.name != s.p.Name() {
-		return protocol.ErrCheckpointMismatch
-	}
-	s.m = cp.m
-	s.clock = cp.clock
-	s.unread = append(s.unread[:0:0], cp.unread...)
-	s.seen = maps.Clone(cp.seen)
-	s.slots = cp.slots
-	s.budget = cp.budget
-	s.frameSize = cp.frameSize
-	s.inFrame = cp.inFrame
-	s.frameLen = cp.frameLen
-	s.slotJ = cp.slotJ
-	s.collisions = cp.collisions
-	s.transmissions = cp.transmissions
-	s.occ = nil
-	s.read = nil
-	if cp.inFrame {
-		s.occ = cloneBuckets(cp.occ)
-		s.read = maps.Clone(cp.read)
-	}
-	s.err = cp.err
-	*s.env.RNG = cp.rng
-	if cp.chanState != nil {
-		s.env.Channel.(channel.Stateful).RestoreState(cp.chanState)
-	}
-	return nil
-}
-
-// cloneBuckets deep-copies a frame's slot-occupancy buckets.
-func cloneBuckets(occ [][]tagid.ID) [][]tagid.ID {
-	out := make([][]tagid.ID, len(occ))
-	for i, b := range occ {
-		if len(b) > 0 {
-			out[i] = append([]tagid.ID(nil), b...)
-		}
-	}
-	return out
-}
-
-// FrameScratch holds the per-frame bucketing state of a framed-ALOHA slot
-// loop — the slot-occupancy buckets and the read-this-frame set — reused
-// across frames so the steady state does not reallocate them. EDFSA's
-// per-group frames share the same scratch. The zero value is ready to use.
-type FrameScratch struct {
-	occupants [][]tagid.ID
-	read      map[tagid.ID]struct{}
-}
-
-// Buckets returns frameSize empty occupancy buckets, each keeping the
-// capacity it grew in earlier frames.
-func (sc *FrameScratch) Buckets(frameSize int) [][]tagid.ID {
-	for cap(sc.occupants) < frameSize {
-		sc.occupants = append(sc.occupants[:cap(sc.occupants)], nil)
-	}
-	occ := sc.occupants[:frameSize]
-	for i := range occ {
-		occ[i] = occ[i][:0]
-	}
-	return occ
-}
-
-// Read returns the emptied read-this-frame set.
-func (sc *FrameScratch) Read() map[tagid.ID]struct{} {
-	if sc.read == nil {
-		sc.read = make(map[tagid.ID]struct{})
-		return sc.read
-	}
-	clear(sc.read)
-	return sc.read
 }

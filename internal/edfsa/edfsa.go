@@ -9,16 +9,11 @@
 package edfsa
 
 import (
-	"maps"
 	"math"
-	"time"
 
-	"github.com/ancrfid/ancrfid/internal/air"
-	"github.com/ancrfid/ancrfid/internal/channel"
 	"github.com/ancrfid/ancrfid/internal/dfsa"
-	obsev "github.com/ancrfid/ancrfid/internal/obs"
+	"github.com/ancrfid/ancrfid/internal/framed"
 	"github.com/ancrfid/ancrfid/internal/protocol"
-	"github.com/ancrfid/ancrfid/internal/rng"
 	"github.com/ancrfid/ancrfid/internal/tagid"
 )
 
@@ -86,378 +81,64 @@ func (p *Protocol) Run(env *protocol.Env) (protocol.Metrics, error) {
 	return protocol.RunSession(p, env)
 }
 
-// session carries one EDFSA execution. A step is one report slot; group-
-// frame boundaries (group selection, announcement and bucketing at the
-// front, the unread filter at the back) and round boundaries (the Schoute
-// re-estimate) fold into the adjacent slots' steps.
-type session struct {
-	p          *Protocol
-	env        *protocol.Env
-	m          protocol.Metrics
-	clock      air.Clock
-	unread     []tagid.ID
-	seen       map[tagid.ID]struct{}
-	scratch    dfsa.FrameScratch
-	membersBuf []tagid.ID
+// Begin implements protocol.SessionProtocol.
+func (p *Protocol) Begin(env *protocol.Env) protocol.Session {
+	estimated := p.cfg.InitialEstimate
+	if estimated <= 0 {
+		estimated = len(env.Tags)
+	}
+	return framed.New(env, p.Name(), policy{estimated: max(estimated, 1)}, 0)
+}
 
-	slots, budget int
-	estimated     int
-	round         uint64
+// policy is EDFSA's frame rule. A round sizes its frame from the table and
+// runs one group-frame per modulo group; the round's end re-estimates the
+// backlog. An empty field settles into empty rounds at the smallest table
+// frame, so newly admitted tags are observed in the next round.
+type policy struct {
+	estimated int
+	round     uint64
 
 	// Current-round state, meaningful while inRound.
 	inRound                             bool
 	frame, groups                       int
 	g                                   int
 	roundCollisions, roundTransmissions int
-
-	// Current group-frame state, meaningful while inFrame.
-	inFrame                   bool
-	slotJ                     int
-	collisions, transmissions int
-	occ                       [][]tagid.ID
-	read                      map[tagid.ID]struct{}
-
-	err error
 }
 
-var _ protocol.Session = (*session)(nil)
-
-// Begin implements protocol.SessionProtocol.
-func (p *Protocol) Begin(env *protocol.Env) protocol.Session {
-	s := &session{
-		p:      p,
-		env:    env,
-		m:      protocol.Metrics{Tags: len(env.Tags)},
-		unread: make([]tagid.ID, len(env.Tags)),
-		seen:   make(map[tagid.ID]struct{}, len(env.Tags)),
-		budget: env.SlotBudget(),
+// Open implements framed.Policy. The round is sized before the engine's
+// slot-budget check.
+func (p *policy) Open(e *framed.Engine) framed.Frame {
+	if !p.inRound {
+		p.frame, p.groups = frameSizeFor(p.estimated)
+		p.g = 0
+		p.roundCollisions, p.roundTransmissions = 0, 0
+		p.inRound = true
 	}
-	env.Clock = &s.clock
-	env.TraceRunStart(p.Name())
-	copy(s.unread, env.Tags)
-	s.estimated = p.cfg.InitialEstimate
-	if s.estimated <= 0 {
-		s.estimated = len(env.Tags)
+	members := groupMembers(e.Members[:0], e.Unread, p.round, p.groups, p.g)
+	if p.groups > 1 {
+		e.Members = members
 	}
-	if s.estimated < 1 {
-		s.estimated = 1
-	}
-	return s
+	return framed.Frame{Size: p.frame, P: 1 / float64(p.groups), Tags: members}
 }
 
-// Protocol implements protocol.Session.
-func (s *session) Protocol() string { return s.p.Name() }
-
-// Step implements protocol.Session. A done session keeps stepping: empty
-// rounds at the smallest table frame keep polling the field, so newly
-// admitted tags are observed in the next round.
-func (s *session) Step() (bool, error) {
-	if s.err != nil {
-		return false, s.err
-	}
-	if !s.inFrame {
-		if !s.inRound {
-			s.frame, s.groups = frameSizeFor(s.estimated)
-			s.g = 0
-			s.roundCollisions, s.roundTransmissions = 0, 0
-			s.inRound = true
-		}
-		if s.slots >= s.budget {
-			s.err = protocol.ErrNoProgress
-			return false, s.err
-		}
-		members := groupMembers(s.membersBuf[:0], s.unread, s.round, s.groups, s.g)
-		if s.groups > 1 {
-			s.membersBuf = members
-		}
-		s.clock.Add(s.env.Timing.FrameAnnouncement())
-		s.m.Frames++
-		s.env.TraceFrame(obsev.FrameEvent{
-			Seq: s.slots, Frame: s.m.Frames, Size: s.frame, P: 1 / float64(s.groups),
-		})
-		s.occ = s.scratch.Buckets(s.frame)
-		for _, id := range members {
-			j := s.env.RNG.Intn(s.frame)
-			s.occ[j] = append(s.occ[j], id)
-		}
-		s.read = s.scratch.Read()
-		s.slotJ, s.collisions, s.transmissions = 0, 0, 0
-		s.inFrame = true
-	}
-
-	tx := s.occ[s.slotJ]
-	s.transmissions += len(tx)
-	obs := s.env.Channel.Observe(tx)
-	switch obs.Kind {
-	case channel.Empty:
-		s.m.EmptySlots++
-	case channel.Singleton:
-		s.m.SingletonSlots++
-		if _, dup := s.seen[obs.ID]; !dup {
-			s.seen[obs.ID] = struct{}{}
-			s.m.DirectIDs++
-			s.env.NotifyIdentified(obs.ID, false)
-		}
-		delivered := s.env.AckDelivered()
-		s.env.TraceAck(obsev.AckEvent{
-			Seq: s.m.TotalSlots() - 1, ID: obs.ID, Kind: obsev.AckDirect, Delivered: delivered,
-		})
-		if delivered {
-			s.read[obs.ID] = struct{}{}
-		}
-	case channel.Collision:
-		s.m.CollisionSlots++
-		s.collisions++
-	case channel.Captured:
-		// Capture effect: the collision still counts for Vogt's estimator,
-		// but the captured ID is read and acknowledged like a singleton.
-		s.m.CollisionSlots++
-		s.collisions++
-		if _, dup := s.seen[obs.ID]; !dup {
-			s.seen[obs.ID] = struct{}{}
-			s.m.DirectIDs++
-			s.env.NotifyIdentified(obs.ID, false)
-		}
-		delivered := s.env.AckDelivered()
-		s.env.TraceAck(obsev.AckEvent{
-			Seq: s.m.TotalSlots() - 1, ID: obs.ID, Kind: obsev.AckDirect, Delivered: delivered,
-		})
-		if delivered {
-			s.read[obs.ID] = struct{}{}
-		}
-	}
-	s.m.TagTransmissions += len(tx)
-	s.env.NotifySlot(protocol.SlotEvent{
-		Seq:          s.m.TotalSlots() - 1,
-		Kind:         obs.Kind,
-		Transmitters: len(tx),
-		Identified:   s.m.Identified(),
-	})
-	s.slotJ++
-	s.slots++
-	s.clock.Add(s.env.Timing.Slot())
-	if s.slotJ < s.frame {
-		return false, nil
-	}
-
-	// Group-frame end: silence the tags read this frame.
-	s.inFrame = false
-	s.roundCollisions += s.collisions
-	s.roundTransmissions += s.transmissions
-	if len(s.read) > 0 {
-		remaining := s.unread[:0]
-		for _, id := range s.unread {
-			if _, ok := s.read[id]; !ok {
-				remaining = append(remaining, id)
-			}
-		}
-		s.unread = remaining
-	}
-	s.g++
-	if s.g < s.groups {
-		return false, nil
+// Close implements framed.Policy.
+func (p *policy) Close(e *framed.Engine, f framed.Stats) bool {
+	p.roundCollisions += f.Collisions
+	p.roundTransmissions += f.Transmissions
+	p.g++
+	if p.g < p.groups {
+		return false
 	}
 
 	// Round end.
-	s.inRound = false
-	s.round++
-	if s.roundTransmissions == 0 {
-		return true, nil
+	p.inRound = false
+	p.round++
+	if p.roundTransmissions == 0 {
+		return true
 	}
-	s.estimated = int(math.Round(dfsa.SchouteFactor * float64(s.roundCollisions)))
-	if s.estimated < 1 {
-		s.estimated = 1
-	}
-	s.env.TraceEstimate(obsev.EstimateEvent{
-		Frame: s.m.Frames, Estimate: float64(s.estimated), Identified: s.m.Identified(),
-	})
-	return false, nil
-}
-
-// Admit implements protocol.Session: the tags join the unread backlog and
-// first transmit in the next group-frame whose modulo group they hash into.
-func (s *session) Admit(ids []tagid.ID) {
-	for _, id := range ids {
-		if _, identified := s.seen[id]; identified {
-			continue
-		}
-		if containsID(s.unread, id) {
-			continue
-		}
-		s.unread = append(s.unread, id)
-		s.m.Tags++
-	}
-}
-
-// Revoke implements protocol.Session: the tags leave the backlog and stop
-// transmitting immediately — they are stripped from the current frame's
-// remaining slot buckets.
-func (s *session) Revoke(ids []tagid.ID) {
-	for _, id := range ids {
-		if !removeID(&s.unread, id) {
-			continue
-		}
-		if s.inFrame {
-			for j := s.slotJ; j < s.frame; j++ {
-				bucket := s.occ[j]
-				if removeID(&bucket, id) {
-					s.occ[j] = bucket
-					break
-				}
-			}
-		}
-	}
-}
-
-// containsID reports whether ids contains id.
-func containsID(ids []tagid.ID, id tagid.ID) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
+	p.estimated = max(int(math.Round(dfsa.SchouteFactor*float64(p.roundCollisions))), 1)
+	e.TraceEstimate(float64(p.estimated), 0)
 	return false
-}
-
-// removeID deletes id from *ids preserving order; it reports whether the
-// id was present.
-func removeID(ids *[]tagid.ID, id tagid.ID) bool {
-	for i, v := range *ids {
-		if v == id {
-			*ids = append((*ids)[:i], (*ids)[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Metrics implements protocol.Session.
-func (s *session) Metrics() protocol.Metrics {
-	m := s.m
-	m.OnAir = s.clock.Elapsed()
-	return m
-}
-
-// Elapsed implements protocol.Session.
-func (s *session) Elapsed() time.Duration { return s.clock.Elapsed() }
-
-// Outstanding implements protocol.Session.
-func (s *session) Outstanding() int { return len(s.unread) }
-
-// checkpoint is a deep copy of an EDFSA session's state.
-type checkpoint struct {
-	name   string
-	m      protocol.Metrics
-	clock  air.Clock
-	unread []tagid.ID
-	seen   map[tagid.ID]struct{}
-
-	slots, budget int
-	estimated     int
-	round         uint64
-
-	inRound                             bool
-	frame, groups                       int
-	g                                   int
-	roundCollisions, roundTransmissions int
-
-	inFrame                   bool
-	slotJ                     int
-	collisions, transmissions int
-	occ                       [][]tagid.ID
-	read                      map[tagid.ID]struct{}
-
-	err error
-
-	rng       rng.Source
-	chanState any
-}
-
-// Protocol implements protocol.Checkpoint.
-func (c *checkpoint) Protocol() string { return c.name }
-
-// Snapshot implements protocol.Session.
-func (s *session) Snapshot() (protocol.Checkpoint, error) {
-	cp := &checkpoint{
-		name:               s.p.Name(),
-		m:                  s.m,
-		clock:              s.clock,
-		unread:             append([]tagid.ID(nil), s.unread...),
-		seen:               maps.Clone(s.seen),
-		slots:              s.slots,
-		budget:             s.budget,
-		estimated:          s.estimated,
-		round:              s.round,
-		inRound:            s.inRound,
-		frame:              s.frame,
-		groups:             s.groups,
-		g:                  s.g,
-		roundCollisions:    s.roundCollisions,
-		roundTransmissions: s.roundTransmissions,
-		inFrame:            s.inFrame,
-		slotJ:              s.slotJ,
-		collisions:         s.collisions,
-		transmissions:      s.transmissions,
-		err:                s.err,
-		rng:                *s.env.RNG,
-	}
-	if s.inFrame {
-		cp.occ = cloneBuckets(s.occ)
-		cp.read = maps.Clone(s.read)
-	}
-	if st, ok := s.env.Channel.(channel.Stateful); ok {
-		cp.chanState = st.SnapshotState()
-	}
-	return cp, nil
-}
-
-// Restore implements protocol.Session.
-func (s *session) Restore(c protocol.Checkpoint) error {
-	cp, ok := c.(*checkpoint)
-	if !ok || cp.name != s.p.Name() {
-		return protocol.ErrCheckpointMismatch
-	}
-	s.m = cp.m
-	s.clock = cp.clock
-	s.unread = append(s.unread[:0:0], cp.unread...)
-	s.seen = maps.Clone(cp.seen)
-	s.slots = cp.slots
-	s.budget = cp.budget
-	s.estimated = cp.estimated
-	s.round = cp.round
-	s.inRound = cp.inRound
-	s.frame = cp.frame
-	s.groups = cp.groups
-	s.g = cp.g
-	s.roundCollisions = cp.roundCollisions
-	s.roundTransmissions = cp.roundTransmissions
-	s.inFrame = cp.inFrame
-	s.slotJ = cp.slotJ
-	s.collisions = cp.collisions
-	s.transmissions = cp.transmissions
-	s.occ = nil
-	s.read = nil
-	if cp.inFrame {
-		s.occ = cloneBuckets(cp.occ)
-		s.read = maps.Clone(cp.read)
-	}
-	s.err = cp.err
-	*s.env.RNG = cp.rng
-	if cp.chanState != nil {
-		s.env.Channel.(channel.Stateful).RestoreState(cp.chanState)
-	}
-	return nil
-}
-
-// cloneBuckets deep-copies a frame's slot-occupancy buckets.
-func cloneBuckets(occ [][]tagid.ID) [][]tagid.ID {
-	out := make([][]tagid.ID, len(occ))
-	for i, b := range occ {
-		if len(b) > 0 {
-			out[i] = append([]tagid.ID(nil), b...)
-		}
-	}
-	return out
 }
 
 // groupMembers selects the unread tags whose hash (salted by the round so

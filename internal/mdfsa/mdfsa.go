@@ -20,18 +20,10 @@ package mdfsa
 
 import (
 	"fmt"
-	"maps"
-	"time"
 
-	"github.com/ancrfid/ancrfid/internal/air"
-	"github.com/ancrfid/ancrfid/internal/channel"
-	"github.com/ancrfid/ancrfid/internal/dfsa"
 	"github.com/ancrfid/ancrfid/internal/estimate"
-	obsev "github.com/ancrfid/ancrfid/internal/obs"
+	"github.com/ancrfid/ancrfid/internal/framed"
 	"github.com/ancrfid/ancrfid/internal/protocol"
-	"github.com/ancrfid/ancrfid/internal/record"
-	"github.com/ancrfid/ancrfid/internal/rng"
-	"github.com/ancrfid/ancrfid/internal/tagid"
 )
 
 // Config parameterises MDFSA.
@@ -77,420 +69,47 @@ func (p *Protocol) Run(env *protocol.Env) (protocol.Metrics, error) {
 	return protocol.RunSession(p, env)
 }
 
-// session carries one MDFSA execution. The step structure is DFSA's (one
-// report slot per step, frame boundaries folded into the edge slots); the
-// additions are the persistent record store and the MPR re-estimate.
-type session struct {
-	p       *Protocol
-	env     *protocol.Env
-	m       protocol.Metrics
-	clock   air.Clock
-	unread  []tagid.ID
-	seen    map[tagid.ID]struct{}
-	store   *record.Store
-	scratch dfsa.FrameScratch
-
-	slots, budget int
-	frameSize     int
-
-	// Current-frame state, meaningful while inFrame.
-	inFrame                   bool
-	frameLen                  int
-	slotJ                     int
-	collisions, transmissions int
-	identifiedBefore          int
-	occ                       [][]tagid.ID
-	read                      map[tagid.ID]struct{}
-
-	err error
-}
-
-var _ protocol.Session = (*session)(nil)
-
-// sessionScratch is the reusable core of a session (see protocol.Scratch).
-type sessionScratch struct {
-	store *record.Store
-	seen  map[tagid.ID]struct{}
-}
-
-// scratchKey namespaces this protocol's state in the shared container.
-const scratchKey = "mdfsa"
-
-// Begin implements protocol.SessionProtocol.
+// Begin implements protocol.SessionProtocol. The session keeps a
+// persistent record store; records beyond the decode capability can never
+// resolve (a captured slot's residual still fits: k members leave k-1
+// unknowns), so the store drops them.
 func (p *Protocol) Begin(env *protocol.Env) protocol.Session {
-	s := &session{
-		p:      p,
-		env:    env,
-		m:      protocol.Metrics{Tags: len(env.Tags)},
-		unread: make([]tagid.ID, len(env.Tags)),
-		budget: env.SlotBudget(),
+	frameSize := p.cfg.InitialFrame
+	if frameSize <= 0 {
+		frameSize = estimate.MPRFrameSize(float64(len(env.Tags)), p.cfg.M)
 	}
-	if sc, _ := env.Scratch.Get(scratchKey).(*sessionScratch); sc != nil {
-		sc.store.Reset()
-		clear(sc.seen)
-		s.store, s.seen = sc.store, sc.seen
-	} else {
-		s.store = record.NewStore()
-		s.seen = make(map[tagid.ID]struct{}, len(env.Tags))
-		env.Scratch.Put(scratchKey, &sessionScratch{store: s.store, seen: s.seen})
-	}
-	s.store.Tracer = env.Tracer
-	s.store.Quarantine = env.Hardened()
-	// Records beyond the decode capability can never resolve (a captured
-	// slot's residual still fits: k members leave k-1 unknowns).
-	s.store.DropAbove = p.cfg.M + 1
-	if env.Stream {
-		if rel, ok := env.Channel.(channel.Releaser); ok {
-			s.store.SetReleaser(rel)
-		}
-	}
-	env.Clock = &s.clock
-	env.TraceRunStart(p.Name())
-	copy(s.unread, env.Tags)
-	s.frameSize = p.cfg.InitialFrame
-	if s.frameSize <= 0 {
-		s.frameSize = estimate.MPRFrameSize(float64(len(env.Tags)), p.cfg.M)
-	}
-	return s
+	return framed.New(env, p.Name(), policy{p: p, frameSize: frameSize}, p.cfg.M+1)
 }
 
-// Protocol implements protocol.Session.
-func (s *session) Protocol() string { return s.p.Name() }
+// policy is MDFSA's frame rule: DFSA's frame loop with the exact backlog
+// estimator and the MPR-optimal frame size. Like DFSA, an empty field
+// settles into one-slot frames so newly admitted tags are observed.
+type policy struct {
+	p         *Protocol
+	frameSize int
+}
 
-// Step implements protocol.Session. Like DFSA, a done session keeps
-// stepping one-slot frames so newly admitted tags are observed.
-func (s *session) Step() (bool, error) {
-	if s.err != nil {
-		return false, s.err
-	}
-	if !s.inFrame {
-		if s.slots >= s.budget {
-			s.err = protocol.ErrNoProgress
-			return false, s.err
-		}
-		f := s.frameSize
-		if f < 1 {
-			f = 1
-		}
-		if s.p.cfg.MaxFrame > 0 && f > s.p.cfg.MaxFrame {
-			f = s.p.cfg.MaxFrame
-		}
-		s.clock.Add(s.env.Timing.FrameAnnouncement())
-		s.m.Frames++
-		s.env.TraceFrame(obsev.FrameEvent{Seq: s.slots, Frame: s.m.Frames, Size: f, P: 1})
-		s.occ = s.scratch.Buckets(f)
-		for _, id := range s.unread {
-			j := s.env.RNG.Intn(f)
-			s.occ[j] = append(s.occ[j], id)
-		}
-		s.read = s.scratch.Read()
-		s.frameLen = f
-		s.slotJ, s.collisions, s.transmissions = 0, 0, 0
-		s.identifiedBefore = s.m.Identified()
-		s.inFrame = true
-	}
+// Open implements framed.Policy.
+func (p *policy) Open(e *framed.Engine) framed.Frame {
+	return framed.Frame{Size: framed.Clamp(p.frameSize, p.p.cfg.MaxFrame), P: 1, Tags: e.Unread}
+}
 
-	tx := s.occ[s.slotJ]
-	s.transmissions += len(tx)
-	slot := uint64(s.m.TotalSlots())
-	obs := s.env.Channel.Observe(tx)
-	switch obs.Kind {
-	case channel.Empty:
-		s.m.EmptySlots++
-	case channel.Singleton:
-		s.m.SingletonSlots++
-		s.countDirect(obs.ID)
-		for _, res := range s.store.OnIdentified(obs.ID) {
-			s.countResolved(res)
-		}
-	case channel.Collision:
-		// Unlike DFSA the mixed recording is kept: it resolves by cascade
-		// once enough constituents are known. The collision still feeds
-		// the backlog estimator.
-		s.m.CollisionSlots++
-		s.collisions++
-		for _, res := range s.store.Add(slot, obs.Mix, tx) {
-			s.countResolved(res)
-		}
-	case channel.Captured:
-		// The slot occupied the air as a collision but its strongest
-		// constituent decoded through; the residual recording joins the
-		// store with the captured tag already known.
-		s.m.CollisionSlots++
-		s.collisions++
-		s.countDirect(obs.ID)
-		for _, res := range s.store.OnIdentified(obs.ID) {
-			s.countResolved(res)
-		}
-		for _, res := range s.store.Add(slot, obs.Mix, tx) {
-			s.countResolved(res)
-		}
+// Close implements framed.Policy. It re-estimates the backlog from the
+// collision count (occupancy in a frame of f slots is Binomial(N, 1/f))
+// and sizes the next frame for the MPR-optimal load. A saturated frame
+// (every slot colliding) falls outside the estimator's domain; the frame
+// doubles instead.
+func (p *policy) Close(e *framed.Engine, f framed.Stats) bool {
+	if f.Transmissions == 0 {
+		return true
 	}
-	s.m.TagTransmissions += len(tx)
-	s.env.NotifySlot(protocol.SlotEvent{
-		Seq:          s.m.TotalSlots() - 1,
-		Kind:         obs.Kind,
-		Transmitters: len(tx),
-		Identified:   s.m.Identified(),
-	})
-	s.slotJ++
-	s.slots++
-	s.clock.Add(s.env.Timing.Slot())
-	if s.slotJ < s.frameLen {
-		return false, nil
-	}
-
-	// Frame end: silence the tags read this frame.
-	s.inFrame = false
-	if len(s.read) > 0 {
-		remaining := s.unread[:0]
-		for _, id := range s.unread {
-			if _, ok := s.read[id]; !ok {
-				remaining = append(remaining, id)
-			}
-		}
-		s.unread = remaining
-	}
-	if s.transmissions == 0 {
-		return true, nil
-	}
-	// Re-estimate the backlog from the collision count (occupancy in a
-	// frame of f slots is Binomial(N, 1/f)) and size the next frame for
-	// the MPR-optimal load. A saturated frame (every slot colliding) falls
-	// outside the estimator's domain; double the frame instead.
-	est, ok := estimate.Exact(s.collisions, s.frameLen, 1/float64(s.frameLen))
+	est, ok := estimate.Exact(f.Collisions, f.Len, 1/float64(f.Len))
 	if !ok {
-		s.frameSize = 2 * s.frameLen
+		p.frameSize = 2 * f.Len
 	} else {
-		backlog := est - float64(s.m.Identified()-s.identifiedBefore)
-		s.frameSize = estimate.MPRFrameSize(backlog, s.p.cfg.M)
+		backlog := est - float64(f.Identified-f.IdentifiedBefore)
+		p.frameSize = estimate.MPRFrameSize(backlog, p.p.cfg.M)
 	}
-	s.env.TraceEstimate(obsev.EstimateEvent{
-		Frame: s.m.Frames, Estimate: float64(s.frameSize) * s.p.mu,
-		FrameEst: est, Identified: s.m.Identified(),
-	})
-	return false, nil
-}
-
-// countDirect records a first-time identification from a singleton or
-// captured slot and acknowledges it; the tag joins the read set only if
-// the acknowledgement lands.
-func (s *session) countDirect(id tagid.ID) {
-	if _, dup := s.seen[id]; !dup {
-		s.seen[id] = struct{}{}
-		s.m.DirectIDs++
-		s.env.NotifyIdentified(id, false)
-	}
-	delivered := s.env.AckDelivered()
-	s.env.TraceAck(obsev.AckEvent{
-		Seq: s.m.TotalSlots() - 1, ID: id, Kind: obsev.AckDirect, Delivered: delivered,
-	})
-	if delivered {
-		s.read[id] = struct{}{}
-	}
-}
-
-// countResolved records an ID recovered from a collision record,
-// acknowledged FCAT-style by broadcasting the resolved slot's index.
-func (s *session) countResolved(res record.Resolved) {
-	if _, dup := s.seen[res.ID]; !dup {
-		s.seen[res.ID] = struct{}{}
-		s.m.ResolvedIDs++
-		s.env.NotifyIdentified(res.ID, true)
-	}
-	s.clock.Add(s.env.Timing.ResolvedIndexAck())
-	delivered := s.env.AckDelivered()
-	s.env.TraceAck(obsev.AckEvent{
-		Seq: s.m.TotalSlots() - 1, ID: res.ID, Kind: obsev.AckResolvedIndex, Delivered: delivered,
-	})
-	if delivered {
-		s.read[res.ID] = struct{}{}
-	}
-}
-
-// Admit implements protocol.Session: the tags join the unread backlog and
-// first transmit in the next frame's bucketing.
-func (s *session) Admit(ids []tagid.ID) {
-	for _, id := range ids {
-		if _, identified := s.seen[id]; identified {
-			continue
-		}
-		if containsID(s.unread, id) {
-			continue
-		}
-		s.unread = append(s.unread, id)
-		s.m.Tags++
-		s.store.Readmit(id)
-	}
-}
-
-// Revoke implements protocol.Session: the tags leave the backlog, stop
-// transmitting immediately, and their pending record memberships are
-// voided so stale cascades cannot identify a departed tag.
-func (s *session) Revoke(ids []tagid.ID) {
-	for _, id := range ids {
-		if _, identified := s.seen[id]; !identified {
-			s.store.Revoke(id)
-		}
-		if !removeID(&s.unread, id) {
-			continue
-		}
-		if s.inFrame {
-			for j := s.slotJ; j < s.frameLen; j++ {
-				bucket := s.occ[j]
-				if removeID(&bucket, id) {
-					s.occ[j] = bucket
-					break
-				}
-			}
-		}
-	}
-}
-
-// containsID reports whether ids contains id.
-func containsID(ids []tagid.ID, id tagid.ID) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
+	e.TraceEstimate(float64(p.frameSize)*p.p.mu, est)
 	return false
-}
-
-// removeID deletes id from *ids preserving order; it reports whether the
-// id was present.
-func removeID(ids *[]tagid.ID, id tagid.ID) bool {
-	for i, v := range *ids {
-		if v == id {
-			*ids = append((*ids)[:i], (*ids)[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Metrics implements protocol.Session.
-func (s *session) Metrics() protocol.Metrics {
-	m := s.m
-	m.OnAir = s.clock.Elapsed()
-	return m
-}
-
-// Elapsed implements protocol.Session.
-func (s *session) Elapsed() time.Duration { return s.clock.Elapsed() }
-
-// Outstanding implements protocol.Session.
-func (s *session) Outstanding() int { return len(s.unread) }
-
-// checkpoint is a deep copy of an MDFSA session's state.
-type checkpoint struct {
-	name   string
-	m      protocol.Metrics
-	clock  air.Clock
-	unread []tagid.ID
-	seen   map[tagid.ID]struct{}
-	store  *record.Store
-
-	slots, budget int
-	frameSize     int
-
-	inFrame                   bool
-	frameLen                  int
-	slotJ                     int
-	collisions, transmissions int
-	identifiedBefore          int
-	occ                       [][]tagid.ID
-	read                      map[tagid.ID]struct{}
-
-	err error
-
-	rng       rng.Source
-	chanState any
-}
-
-// Protocol implements protocol.Checkpoint.
-func (c *checkpoint) Protocol() string { return c.name }
-
-// Snapshot implements protocol.Session.
-func (s *session) Snapshot() (protocol.Checkpoint, error) {
-	store, err := s.store.Clone()
-	if err != nil {
-		return nil, err
-	}
-	cp := &checkpoint{
-		name:             s.p.Name(),
-		m:                s.m,
-		clock:            s.clock,
-		unread:           append([]tagid.ID(nil), s.unread...),
-		seen:             maps.Clone(s.seen),
-		store:            store,
-		slots:            s.slots,
-		budget:           s.budget,
-		frameSize:        s.frameSize,
-		inFrame:          s.inFrame,
-		frameLen:         s.frameLen,
-		slotJ:            s.slotJ,
-		collisions:       s.collisions,
-		transmissions:    s.transmissions,
-		identifiedBefore: s.identifiedBefore,
-		err:              s.err,
-		rng:              *s.env.RNG,
-	}
-	if s.inFrame {
-		cp.occ = cloneBuckets(s.occ)
-		cp.read = maps.Clone(s.read)
-	}
-	if st, ok := s.env.Channel.(channel.Stateful); ok {
-		cp.chanState = st.SnapshotState()
-	}
-	return cp, nil
-}
-
-// Restore implements protocol.Session.
-func (s *session) Restore(c protocol.Checkpoint) error {
-	cp, ok := c.(*checkpoint)
-	if !ok || cp.name != s.p.Name() {
-		return protocol.ErrCheckpointMismatch
-	}
-	store, err := cp.store.Clone()
-	if err != nil {
-		return err
-	}
-	s.m = cp.m
-	s.clock = cp.clock
-	s.unread = append(s.unread[:0:0], cp.unread...)
-	s.seen = maps.Clone(cp.seen)
-	s.store = store
-	s.slots = cp.slots
-	s.budget = cp.budget
-	s.frameSize = cp.frameSize
-	s.inFrame = cp.inFrame
-	s.frameLen = cp.frameLen
-	s.slotJ = cp.slotJ
-	s.collisions = cp.collisions
-	s.transmissions = cp.transmissions
-	s.identifiedBefore = cp.identifiedBefore
-	s.occ = nil
-	s.read = nil
-	if cp.inFrame {
-		s.occ = cloneBuckets(cp.occ)
-		s.read = maps.Clone(cp.read)
-	}
-	s.err = cp.err
-	*s.env.RNG = cp.rng
-	if cp.chanState != nil {
-		s.env.Channel.(channel.Stateful).RestoreState(cp.chanState)
-	}
-	return nil
-}
-
-// cloneBuckets deep-copies a frame's slot-occupancy buckets.
-func cloneBuckets(occ [][]tagid.ID) [][]tagid.ID {
-	out := make([][]tagid.ID, len(occ))
-	for i, b := range occ {
-		if len(b) > 0 {
-			out[i] = append([]tagid.ID(nil), b...)
-		}
-	}
-	return out
 }

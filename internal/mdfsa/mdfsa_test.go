@@ -8,6 +8,7 @@ import (
 	"github.com/ancrfid/ancrfid/internal/channel"
 	"github.com/ancrfid/ancrfid/internal/dfsa"
 	"github.com/ancrfid/ancrfid/internal/estimate"
+	"github.com/ancrfid/ancrfid/internal/framed"
 	"github.com/ancrfid/ancrfid/internal/protocol"
 	"github.com/ancrfid/ancrfid/internal/rng"
 	"github.com/ancrfid/ancrfid/internal/tagid"
@@ -93,10 +94,10 @@ func TestFrameSizingTracksMPRLoad(t *testing.T) {
 	for _, m := range []int{2, 3, 4} {
 		p := New(Config{M: m})
 		e := env(uint64(m), 1000, channel.AbstractConfig{Lambda: m})
-		s := p.Begin(e).(*session)
+		s := p.Begin(e).(*framed.Session[policy])
 		want := estimate.MPRFrameSize(1000, m)
-		if s.frameSize != want {
-			t.Fatalf("M=%d: initial frame %d, want %d", m, s.frameSize, want)
+		if s.State.frameSize != want {
+			t.Fatalf("M=%d: initial frame %d, want %d", m, s.State.frameSize, want)
 		}
 		if math.Abs(float64(want)*estimate.MPROptimalLoad(m)-1000) > float64(m) {
 			t.Fatalf("M=%d: frame %d does not match load rule", m, want)

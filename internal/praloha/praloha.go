@@ -24,18 +24,10 @@ package praloha
 
 import (
 	"fmt"
-	"maps"
-	"time"
 
-	"github.com/ancrfid/ancrfid/internal/air"
-	"github.com/ancrfid/ancrfid/internal/channel"
-	"github.com/ancrfid/ancrfid/internal/dfsa"
 	"github.com/ancrfid/ancrfid/internal/estimate"
-	obsev "github.com/ancrfid/ancrfid/internal/obs"
+	"github.com/ancrfid/ancrfid/internal/framed"
 	"github.com/ancrfid/ancrfid/internal/protocol"
-	"github.com/ancrfid/ancrfid/internal/record"
-	"github.com/ancrfid/ancrfid/internal/rng"
-	"github.com/ancrfid/ancrfid/internal/tagid"
 )
 
 // Config parameterises pseudo-random ALOHA.
@@ -74,397 +66,36 @@ func (p *Protocol) Run(env *protocol.Env) (protocol.Metrics, error) {
 	return protocol.RunSession(p, env)
 }
 
-// session carries one PRALOHA execution: DFSA's slot loop with hashed
+// Begin implements protocol.SessionProtocol: DFSA's frame loop with hashed
 // bucketing, roster-sized frames and a persistent record store.
-type session struct {
-	p       *Protocol
-	env     *protocol.Env
-	m       protocol.Metrics
-	clock   air.Clock
-	unread  []tagid.ID
-	seen    map[tagid.ID]struct{}
-	store   *record.Store
-	scratch dfsa.FrameScratch
-
-	slots, budget int
-	// frame is the frame counter hashed into every tag's slot choice; it
-	// only ever increments, so no two frames repeat a schedule.
-	frame uint64
-
-	// Current-frame state, meaningful while inFrame.
-	inFrame       bool
-	frameLen      int
-	slotJ         int
-	transmissions int
-	occ           [][]tagid.ID
-	read          map[tagid.ID]struct{}
-
-	err error
-}
-
-var _ protocol.Session = (*session)(nil)
-
-// sessionScratch is the reusable core of a session (see protocol.Scratch).
-type sessionScratch struct {
-	store *record.Store
-	seen  map[tagid.ID]struct{}
-}
-
-// scratchKey namespaces this protocol's state in the shared container.
-const scratchKey = "praloha"
-
-// Begin implements protocol.SessionProtocol.
 func (p *Protocol) Begin(env *protocol.Env) protocol.Session {
-	s := &session{
-		p:      p,
-		env:    env,
-		m:      protocol.Metrics{Tags: len(env.Tags)},
-		unread: make([]tagid.ID, len(env.Tags)),
-		budget: env.SlotBudget(),
-	}
-	if sc, _ := env.Scratch.Get(scratchKey).(*sessionScratch); sc != nil {
-		sc.store.Reset()
-		clear(sc.seen)
-		s.store, s.seen = sc.store, sc.seen
-	} else {
-		s.store = record.NewStore()
-		s.seen = make(map[tagid.ID]struct{}, len(env.Tags))
-		env.Scratch.Put(scratchKey, &sessionScratch{store: s.store, seen: s.seen})
-	}
-	s.store.Tracer = env.Tracer
-	s.store.Quarantine = env.Hardened()
-	s.store.DropAbove = p.cfg.M + 1
-	if env.Stream {
-		if rel, ok := env.Channel.(channel.Releaser); ok {
-			s.store.SetReleaser(rel)
-		}
-	}
-	env.Clock = &s.clock
-	env.TraceRunStart(p.Name())
-	copy(s.unread, env.Tags)
-	return s
+	return framed.New(env, p.Name(), policy{cfg: &p.cfg}, p.cfg.M+1)
 }
 
-// Protocol implements protocol.Session.
-func (s *session) Protocol() string { return s.p.Name() }
-
-// Step implements protocol.Session. A done session keeps stepping one-slot
-// frames, so newly admitted tags are observed on the next frame.
-func (s *session) Step() (bool, error) {
-	if s.err != nil {
-		return false, s.err
-	}
-	if !s.inFrame {
-		if s.slots >= s.budget {
-			s.err = protocol.ErrNoProgress
-			return false, s.err
-		}
-		// The outstanding count is known exactly, so the frame is sized
-		// straight from the MPR-optimal load rule — no estimator phase.
-		f := estimate.MPRFrameSize(float64(len(s.unread)), s.p.cfg.M)
-		if len(s.unread) > 1 && f < 2 {
-			// A one-slot frame can never separate an all-unknown backlog:
-			// the load rule happily packs a tail of two tags into one slot
-			// (mu*_M > 1), which with an open-loop schedule would collide
-			// them forever. Two slots give the hash room to split them.
-			f = 2
-		}
-		if s.p.cfg.MaxFrame > 0 && f > s.p.cfg.MaxFrame {
-			f = s.p.cfg.MaxFrame
-		}
-		s.frame++
-		s.clock.Add(s.env.Timing.FrameAnnouncement())
-		s.m.Frames++
-		s.env.TraceFrame(obsev.FrameEvent{Seq: s.slots, Frame: s.m.Frames, Size: f, P: 1})
-		// Bucket by hash replay, not by RNG: slot = H(tag, frame).
-		s.occ = s.scratch.Buckets(f)
-		for _, id := range s.unread {
-			j := id.HashPrefix().FrameSlot(s.frame, f)
-			s.occ[j] = append(s.occ[j], id)
-		}
-		s.read = s.scratch.Read()
-		s.frameLen = f
-		s.slotJ, s.transmissions = 0, 0
-		s.inFrame = true
-	}
-
-	tx := s.occ[s.slotJ]
-	s.transmissions += len(tx)
-	slot := uint64(s.m.TotalSlots())
-	obs := s.env.Channel.Observe(tx)
-	switch obs.Kind {
-	case channel.Empty:
-		s.m.EmptySlots++
-	case channel.Singleton:
-		s.m.SingletonSlots++
-		s.countDirect(obs.ID)
-		for _, res := range s.store.OnIdentified(obs.ID) {
-			s.countResolved(res)
-		}
-	case channel.Collision:
-		s.m.CollisionSlots++
-		for _, res := range s.store.Add(slot, obs.Mix, tx) {
-			s.countResolved(res)
-		}
-	case channel.Captured:
-		// The slot collided but its strongest constituent decoded through;
-		// the residual recording joins the store with the captured tag
-		// already known.
-		s.m.CollisionSlots++
-		s.countDirect(obs.ID)
-		for _, res := range s.store.OnIdentified(obs.ID) {
-			s.countResolved(res)
-		}
-		for _, res := range s.store.Add(slot, obs.Mix, tx) {
-			s.countResolved(res)
-		}
-	}
-	s.m.TagTransmissions += len(tx)
-	s.env.NotifySlot(protocol.SlotEvent{
-		Seq:          s.m.TotalSlots() - 1,
-		Kind:         obs.Kind,
-		Transmitters: len(tx),
-		Identified:   s.m.Identified(),
-	})
-	s.slotJ++
-	s.slots++
-	s.clock.Add(s.env.Timing.Slot())
-	if s.slotJ < s.frameLen {
-		return false, nil
-	}
-
-	// Frame end: silence the tags read this frame.
-	s.inFrame = false
-	if len(s.read) > 0 {
-		remaining := s.unread[:0]
-		for _, id := range s.unread {
-			if _, ok := s.read[id]; !ok {
-				remaining = append(remaining, id)
-			}
-		}
-		s.unread = remaining
-	}
-	if s.transmissions == 0 {
-		return true, nil
-	}
-	return false, nil
+// policy is PRALOHA's frame rule. The frame number hashed into every tag's
+// slot choice is the session's frame count, which only ever increments,
+// so no two frames repeat a schedule. An empty field settles into one-slot
+// frames, so newly admitted tags are observed on the next frame (their
+// hash schedule covers every frame, so no handshake is needed).
+type policy struct {
+	cfg *Config
 }
 
-// countDirect records a first-time identification from a singleton or
-// captured slot and acknowledges it; the tag joins the read set only if
-// the acknowledgement lands.
-func (s *session) countDirect(id tagid.ID) {
-	if _, dup := s.seen[id]; !dup {
-		s.seen[id] = struct{}{}
-		s.m.DirectIDs++
-		s.env.NotifyIdentified(id, false)
+// Open implements framed.Policy. The outstanding count is known exactly,
+// so the frame is sized straight from the MPR-optimal load rule — no
+// estimator phase.
+func (p *policy) Open(e *framed.Engine) framed.Frame {
+	n := len(e.Unread)
+	f := estimate.MPRFrameSize(float64(n), p.cfg.M)
+	if n > 1 && f < 2 {
+		// A one-slot frame can never separate an all-unknown backlog:
+		// the load rule happily packs a tail of two tags into one slot
+		// (mu*_M > 1), which with an open-loop schedule would collide
+		// them forever. Two slots give the hash room to split them.
+		f = 2
 	}
-	delivered := s.env.AckDelivered()
-	s.env.TraceAck(obsev.AckEvent{
-		Seq: s.m.TotalSlots() - 1, ID: id, Kind: obsev.AckDirect, Delivered: delivered,
-	})
-	if delivered {
-		s.read[id] = struct{}{}
-	}
+	return framed.Frame{Size: framed.Clamp(f, p.cfg.MaxFrame), P: 1, Tags: e.Unread, Hashed: true}
 }
 
-// countResolved records an ID recovered from a collision record,
-// acknowledged by broadcasting the resolved slot's index.
-func (s *session) countResolved(res record.Resolved) {
-	if _, dup := s.seen[res.ID]; !dup {
-		s.seen[res.ID] = struct{}{}
-		s.m.ResolvedIDs++
-		s.env.NotifyIdentified(res.ID, true)
-	}
-	s.clock.Add(s.env.Timing.ResolvedIndexAck())
-	delivered := s.env.AckDelivered()
-	s.env.TraceAck(obsev.AckEvent{
-		Seq: s.m.TotalSlots() - 1, ID: res.ID, Kind: obsev.AckResolvedIndex, Delivered: delivered,
-	})
-	if delivered {
-		s.read[res.ID] = struct{}{}
-	}
-}
-
-// Admit implements protocol.Session: the tags join the unread backlog and
-// first transmit in the next frame's bucketing (their hash schedule covers
-// every frame, so no handshake is needed).
-func (s *session) Admit(ids []tagid.ID) {
-	for _, id := range ids {
-		if _, identified := s.seen[id]; identified {
-			continue
-		}
-		if containsID(s.unread, id) {
-			continue
-		}
-		s.unread = append(s.unread, id)
-		s.m.Tags++
-		s.store.Readmit(id)
-	}
-}
-
-// Revoke implements protocol.Session: the tags leave the backlog, stop
-// transmitting immediately, and their pending record memberships are
-// voided so stale cascades cannot identify a departed tag.
-func (s *session) Revoke(ids []tagid.ID) {
-	for _, id := range ids {
-		if _, identified := s.seen[id]; !identified {
-			s.store.Revoke(id)
-		}
-		if !removeID(&s.unread, id) {
-			continue
-		}
-		if s.inFrame {
-			for j := s.slotJ; j < s.frameLen; j++ {
-				bucket := s.occ[j]
-				if removeID(&bucket, id) {
-					s.occ[j] = bucket
-					break
-				}
-			}
-		}
-	}
-}
-
-// containsID reports whether ids contains id.
-func containsID(ids []tagid.ID, id tagid.ID) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
-
-// removeID deletes id from *ids preserving order; it reports whether the
-// id was present.
-func removeID(ids *[]tagid.ID, id tagid.ID) bool {
-	for i, v := range *ids {
-		if v == id {
-			*ids = append((*ids)[:i], (*ids)[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Metrics implements protocol.Session.
-func (s *session) Metrics() protocol.Metrics {
-	m := s.m
-	m.OnAir = s.clock.Elapsed()
-	return m
-}
-
-// Elapsed implements protocol.Session.
-func (s *session) Elapsed() time.Duration { return s.clock.Elapsed() }
-
-// Outstanding implements protocol.Session.
-func (s *session) Outstanding() int { return len(s.unread) }
-
-// checkpoint is a deep copy of a PRALOHA session's state.
-type checkpoint struct {
-	name   string
-	m      protocol.Metrics
-	clock  air.Clock
-	unread []tagid.ID
-	seen   map[tagid.ID]struct{}
-	store  *record.Store
-
-	slots, budget int
-	frame         uint64
-
-	inFrame       bool
-	frameLen      int
-	slotJ         int
-	transmissions int
-	occ           [][]tagid.ID
-	read          map[tagid.ID]struct{}
-
-	err error
-
-	rng       rng.Source
-	chanState any
-}
-
-// Protocol implements protocol.Checkpoint.
-func (c *checkpoint) Protocol() string { return c.name }
-
-// Snapshot implements protocol.Session.
-func (s *session) Snapshot() (protocol.Checkpoint, error) {
-	store, err := s.store.Clone()
-	if err != nil {
-		return nil, err
-	}
-	cp := &checkpoint{
-		name:          s.p.Name(),
-		m:             s.m,
-		clock:         s.clock,
-		unread:        append([]tagid.ID(nil), s.unread...),
-		seen:          maps.Clone(s.seen),
-		store:         store,
-		slots:         s.slots,
-		budget:        s.budget,
-		frame:         s.frame,
-		inFrame:       s.inFrame,
-		frameLen:      s.frameLen,
-		slotJ:         s.slotJ,
-		transmissions: s.transmissions,
-		err:           s.err,
-		rng:           *s.env.RNG,
-	}
-	if s.inFrame {
-		cp.occ = cloneBuckets(s.occ)
-		cp.read = maps.Clone(s.read)
-	}
-	if st, ok := s.env.Channel.(channel.Stateful); ok {
-		cp.chanState = st.SnapshotState()
-	}
-	return cp, nil
-}
-
-// Restore implements protocol.Session.
-func (s *session) Restore(c protocol.Checkpoint) error {
-	cp, ok := c.(*checkpoint)
-	if !ok || cp.name != s.p.Name() {
-		return protocol.ErrCheckpointMismatch
-	}
-	store, err := cp.store.Clone()
-	if err != nil {
-		return err
-	}
-	s.m = cp.m
-	s.clock = cp.clock
-	s.unread = append(s.unread[:0:0], cp.unread...)
-	s.seen = maps.Clone(cp.seen)
-	s.store = store
-	s.slots = cp.slots
-	s.budget = cp.budget
-	s.frame = cp.frame
-	s.inFrame = cp.inFrame
-	s.frameLen = cp.frameLen
-	s.slotJ = cp.slotJ
-	s.transmissions = cp.transmissions
-	s.occ = nil
-	s.read = nil
-	if cp.inFrame {
-		s.occ = cloneBuckets(cp.occ)
-		s.read = maps.Clone(cp.read)
-	}
-	s.err = cp.err
-	*s.env.RNG = cp.rng
-	if cp.chanState != nil {
-		s.env.Channel.(channel.Stateful).RestoreState(cp.chanState)
-	}
-	return nil
-}
-
-// cloneBuckets deep-copies a frame's slot-occupancy buckets.
-func cloneBuckets(occ [][]tagid.ID) [][]tagid.ID {
-	out := make([][]tagid.ID, len(occ))
-	for i, b := range occ {
-		if len(b) > 0 {
-			out[i] = append([]tagid.ID(nil), b...)
-		}
-	}
-	return out
-}
+// Close implements framed.Policy: an empty frame ends the inventory.
+func (p *policy) Close(_ *framed.Engine, f framed.Stats) bool { return f.Transmissions == 0 }

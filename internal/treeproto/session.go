@@ -8,6 +8,7 @@ package treeproto
 
 import (
 	"maps"
+	"slices"
 	"time"
 
 	"github.com/ancrfid/ancrfid/internal/air"
@@ -16,28 +17,6 @@ import (
 	"github.com/ancrfid/ancrfid/internal/rng"
 	"github.com/ancrfid/ancrfid/internal/tagid"
 )
-
-// containsID reports whether ids contains id.
-func containsID(ids []tagid.ID, id tagid.ID) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
-
-// removeID deletes id from *ids preserving order; it reports whether the
-// id was present.
-func removeID(ids *[]tagid.ID, id tagid.ID) bool {
-	for i, v := range *ids {
-		if v == id {
-			*ids = append((*ids)[:i], (*ids)[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
 
 // absSession carries one ABS execution: the explicit depth-first group
 // stack plus the session bookkeeping.
@@ -142,14 +121,7 @@ func (s *absSession) Admit(ids []tagid.ID) {
 		if _, identified := s.seen[id]; identified {
 			continue
 		}
-		present := false
-		for _, g := range s.stack {
-			if containsID(g, id) {
-				present = true
-				break
-			}
-		}
-		if present {
+		if slices.ContainsFunc(s.stack, func(g []tagid.ID) bool { return slices.Contains(g, id) }) {
 			continue
 		}
 		group = append(group, id)
@@ -165,10 +137,9 @@ func (s *absSession) Admit(ids []tagid.ID) {
 // records, so nothing else needs invalidating.
 func (s *absSession) Revoke(ids []tagid.ID) {
 	for _, id := range ids {
-		for i := range s.stack {
-			g := s.stack[i]
-			if removeID(&g, id) {
-				s.stack[i] = g
+		for i, g := range s.stack {
+			if k := slices.Index(g, id); k >= 0 {
+				s.stack[i] = slices.Delete(g, k, k+1)
 				break
 			}
 		}
@@ -431,7 +402,7 @@ func (s *aqsSession) Admit(ids []tagid.ID) {
 		if _, identified := s.seen[id]; identified {
 			continue
 		}
-		if containsID(s.active, id) {
+		if slices.Contains(s.active, id) {
 			continue
 		}
 		s.active = append(s.active, id)
@@ -444,11 +415,14 @@ func (s *aqsSession) Admit(ids []tagid.ID) {
 // the in-flight round. AQS keeps no collision records to invalidate.
 func (s *aqsSession) Revoke(ids []tagid.ID) {
 	for _, id := range ids {
-		if !removeID(&s.active, id) {
+		i := slices.Index(s.active, id)
+		if i < 0 {
 			continue
 		}
+		s.active = slices.Delete(s.active, i, i+1)
 		for j := s.head; j < len(s.queue); j++ {
-			if removeID(&s.queue[j].tags, id) {
+			if k := slices.Index(s.queue[j].tags, id); k >= 0 {
+				s.queue[j].tags = slices.Delete(s.queue[j].tags, k, k+1)
 				break
 			}
 		}
