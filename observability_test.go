@@ -1,6 +1,7 @@
 package ancrfid_test
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/ancrfid/ancrfid"
@@ -112,6 +113,64 @@ func TestRegistryMatchesMetrics(t *testing.T) {
 				if got := reg.Value(c.key); got != c.want {
 					t.Errorf("registry %s = %d, Metrics say %d", c.key, got, c.want)
 				}
+			}
+		})
+	}
+}
+
+// TestTraceSlotAttribution checks that every protocol attributes its trace
+// events to run-wide slot numbers. A record and a direct acknowledgement
+// must name the slot whose step emits them, which is the seq of the slot
+// event closing that step. A resolved acknowledgement may name an earlier
+// slot (the record it decoded), but never one before the current frame.
+func TestTraceSlotAttribution(t *testing.T) {
+	for _, name := range allProtocols {
+		t.Run(name, func(t *testing.T) {
+			p, err := ancrfid.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type claim struct {
+				what string
+				seq  int
+			}
+			var (
+				step                []claim
+				frameStart, checked int
+				bad                 []string
+			)
+			tr := &ancrfid.TracerHooks{
+				OnFrameStart: func(ev ancrfid.TraceFrameEvent) { frameStart = ev.Seq },
+				OnAckSent: func(ev ancrfid.TraceAckEvent) {
+					if ev.Kind == ancrfid.AckDirect {
+						step = append(step, claim{"direct ack", ev.Seq})
+						return
+					}
+					checked++
+					if ev.Seq < frameStart {
+						bad = append(bad, fmt.Sprintf("%v ack names slot %d, before its frame's first slot %d",
+							ev.Kind, ev.Seq, frameStart))
+					}
+				},
+				OnRecordCreated: func(ev ancrfid.TraceRecordEvent) {
+					step = append(step, claim{"record", int(ev.Slot)})
+				},
+				OnSlotDone: func(ev ancrfid.TraceSlotEvent) {
+					for _, c := range step {
+						checked++
+						if c.seq != ev.Seq {
+							bad = append(bad, fmt.Sprintf("%s names slot %d in the step of slot %d", c.what, c.seq, ev.Seq))
+						}
+					}
+					step = step[:0]
+				},
+			}
+			cfg := ancrfid.SimConfig{Tags: 200, Runs: 1, Seed: 3, PAckLoss: 0.05, Tracer: tr}
+			if _, err := ancrfid.RunOnce(p, cfg, 0); err != nil {
+				t.Fatal(err)
+			}
+			if len(bad) > 0 {
+				t.Fatalf("%d of %d attributions are wrong; first: %s", len(bad), checked, bad[0])
 			}
 		})
 	}
