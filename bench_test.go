@@ -114,7 +114,7 @@ func benchProtocol(b *testing.B, p ancrfid.Protocol, cfg ancrfid.SimConfig) {
 // throughput at N = 5000.
 func BenchmarkProtocols(b *testing.B) {
 	cfg := ancrfid.SimConfig{Tags: 5000, Runs: 2, Seed: 1}
-	for _, name := range []string{"FCAT-2", "FCAT-3", "FCAT-4", "SCAT-2", "DFSA", "EDFSA", "ABS", "AQS"} {
+	for _, name := range []string{"FCAT-2", "FCAT-3", "FCAT-4", "SCAT-2", "DFSA", "EDFSA", "MDFSA-2", "PRALOHA-2", "CRDSA", "ABS", "AQS"} {
 		p, err := ancrfid.ByName(name)
 		if err != nil {
 			b.Fatal(err)
