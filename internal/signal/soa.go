@@ -120,7 +120,7 @@ func ModulateIDInto(p *Plane, id tagid.ID, spb int) {
 func RotationInto(p *Plane, dw float64, n int) {
 	p.resize(n)
 	for i := 0; i < n; i++ {
-		e := cmplx.Exp(complex(0, dw * float64(i)))
+		e := cmplx.Exp(complex(0, dw*float64(i)))
 		p.Re[i], p.Im[i] = real(e), imag(e)
 	}
 }
